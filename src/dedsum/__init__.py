@@ -4,11 +4,10 @@ coprime pairs that attain a prescribed normalized sum value.
 The core operations live in submodules (:mod:`dedsum.dedekind`,
 :mod:`dedsum.contfrac`, :mod:`dedsum.surd`, :mod:`dedsum.family`,
 :mod:`dedsum.search`, :mod:`dedsum.rational`); the most used names are
-re-exported here.  ``dedsum.kernel_name()`` reports whether the compiled
-search kernel or the pure-Python fallback is active.
+re-exported here.  ``dedsum.kernel_name()`` names the active kernel.
 """
 
-from ._backend import COMPILED, kernel_name
+from ._backend import kernel_name
 from .dedekind import (
     CoprimePair,
     dedekind_sum_naive,
@@ -34,7 +33,6 @@ from .surd import ConsistencyError, PeriodicSurd, closed_form_value, surd_from_p
 __version__ = "0.1.0"
 
 __all__ = [
-    "COMPILED",
     "ConsistencyError",
     "CoprimePair",
     "FamilyCase",

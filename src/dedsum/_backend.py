@@ -1,50 +1,18 @@
-"""Kernel selection: compiled extension when available, pure Python else.
+"""The kernel seam: the names the evaluator and the search call through.
 
-The choice can be forced with the environment variable
-``DEDSUM_BACKEND=pure`` or ``DEDSUM_BACKEND=compiled`` (the latter raises
-if the extension was never built).  Whatever is selected, operands that
-exceed the compiled kernel's word-size cap are routed to the pure path,
-which handles unbounded integers.
+:mod:`dedsum.dedekind` and :mod:`dedsum.search` look ``eval_parts`` and
+``scan_parts`` up here at call time.  The benchmark (``bench/``) reads
+``kernel`` and ``kernel_name()`` and patches ``eval_parts`` and
+``scan_parts`` to time them, so these names stay.
 """
 
 from __future__ import annotations
 
-import os
+from . import _kernel_py as kernel
 
-from . import _kernel_py as pure
-
-_forced = os.environ.get("DEDSUM_BACKEND", "").strip().lower()
-
-if _forced == "pure":
-    kernel = pure
-elif _forced == "compiled":
-    from . import _kernel as kernel  # ImportError here means: build it first
-elif _forced:
-    raise ValueError(f"DEDSUM_BACKEND must be 'pure' or 'compiled', not {_forced!r}")
-else:
-    try:
-        from . import _kernel as kernel
-    except ImportError:
-        kernel = pure
-
-COMPILED: bool = kernel.COMPILED
-
-_I31 = 1 << 31
+eval_parts = kernel.normalized_sum_parts
+scan_parts = kernel.scan_slice
 
 
 def kernel_name() -> str:
-    return "compiled" if COMPILED else "pure"
-
-
-def eval_parts(a: int, b: int) -> tuple[int, int]:
-    """Reduced (num, den) of 12*s(a, b) for a reduced coprime pair."""
-    if COMPILED and b <= kernel.MAX_OPERAND:
-        return kernel.normalized_sum_parts(a, b)
-    return pure.normalized_sum_parts(a, b)
-
-
-def scan_parts(u: int, v: int, lo: int, hi: int, prune: bool):
-    """One search slice; target u/v must be in lowest terms with v > 0."""
-    if COMPILED and hi <= kernel.MAX_OPERAND and -_I31 < u < _I31 and v < _I31:
-        return kernel.scan_slice(u, v, lo, hi, prune)
-    return pure.scan_slice(u, v, lo, hi, prune)
+    return "pure"

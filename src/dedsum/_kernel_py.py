@@ -1,9 +1,7 @@
 """Pure-Python kernel: normalized Dedekind sums by Euclidean descent and
 the inner loop of the pair search.
 
-This is the fallback for ``dedsum._kernel`` (the Cython build of the same
-two routines) and the only path for operands beyond the compiled kernel's
-machine-word range.  All arithmetic is exact, on Python ints.
+All arithmetic is exact, on Python ints of any size.
 
 The evaluator uses a closed form read off the Euclidean remainder
 sequence of a/b.  With quotients c_1..c_n and q_{n-1} the denominator of
@@ -20,9 +18,6 @@ non-coprime pair is detected for free.
 from __future__ import annotations
 
 from math import gcd
-
-COMPILED = False
-MAX_OPERAND = None  # unbounded
 
 
 def normalized_sum_parts(a: int, b: int) -> tuple[int, int]:
@@ -63,28 +58,15 @@ def scan_slice(
     """
     hits: list[tuple[int, int]] = []
     scanned = 0
+    target = (u, v)
     twice_v = 2 * v
     for b in range(lo, hi):
         if prune and (b * u) % twice_v:
             continue
         for a in range(1, b):
-            alt = 0
-            sign = 1
-            q_prev, q = 0, 1
-            r0, r1 = b, a
-            n_odd = 0
-            while r1:
-                c = r0 // r1
-                alt += sign * c
-                sign = -sign
-                n_odd ^= 1
-                q_prev, q = q, c * q + q_prev
-                r0, r1 = r1, r0 - c * r1
-            if r0 != 1:
+            if gcd(a, b) != 1:  # C-level check, cheaper than a descent that fails
                 continue
             scanned += 1
-            num = (alt - 3 * n_odd) * b + a + (q_prev if n_odd else -q_prev)
-            g = gcd(num, b)
-            if num // g == u and b // g == v:
+            if normalized_sum_parts(a, b) == target:
                 hits.append((a, b))
     return hits, scanned

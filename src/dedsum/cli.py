@@ -2,7 +2,11 @@
 
 Six subcommands: sum, cf, surd, family, verify, search.  Exit codes are
 0 on success, 2 for invalid input, 3 when an internal re-verification
-fails (which signals a bug, never expected use).
+fails (which signals a bug, never expected use), and 141 when the reader
+of stdout goes away early (e.g. ``| head``); 141 is what a shell reports
+for a process ended by SIGPIPE.  Integers of any size are accepted and
+printed: CPython's int/str conversion limit is lifted while ``main``
+runs.
 
 Machine formats never contain floating point and render every integer as
 a decimal string, so family members and deep convergents survive
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -166,9 +171,8 @@ def _cmd_search(args) -> int:
         search.search_stream(target, args.bound, emit,
                              prune=not args.no_prune, jobs=args.jobs)
         return 0
-    hits: list = []
-    result = search.search_stream(target, args.bound, hits.append,
-                                  prune=not args.no_prune, jobs=args.jobs)
+    result = search.search_value(target, args.bound,
+                                 prune=not args.no_prune, jobs=args.jobs)
     print(f"S = {_human_rat(target)} for b < {args.bound}: "
           f"{len(result.hits)} pairs (scanned {result.pairs_scanned})")
     for p in result.hits:
@@ -233,6 +237,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # CPython 3.10.7+ refuses int/str conversions past 4,300 digits;
+    # older versions have no such limit and no setter.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's own flush at exit
+        # cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(old_limit)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

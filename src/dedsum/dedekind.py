@@ -68,13 +68,15 @@ def dedekind_sum_naive(a: int, b: int) -> Fraction:
     """s(a, b) straight from the defining sum; O(b) terms.
 
     This is the test oracle.  It skips the k = b term, which is always
-    zero, and exploits nothing else.
+    zero, and exploits nothing else.  For 0 < k < b neither k/b nor
+    a*k/b is an integer, so ((k/b)) = (2k - b)/(2b) and
+    ((a*k/b)) = (2(a*k mod b) - b)/(2b); the terms are summed over the
+    common denominator 4b^2 in integers.
     """
     pair = reduce_pair(a, b)
-    total = Fraction(0)
-    for k in range(1, pair.b):
-        total += sawtooth(Fraction(k, pair.b)) * sawtooth(Fraction(pair.a * k, pair.b))
-    return total
+    a, b = pair.a, pair.b
+    total = sum((2 * k - b) * (2 * (a * k % b) - b) for k in range(1, b))
+    return Fraction(total, 4 * b * b)
 
 
 def normalized_sum_fast(a: int, b: int) -> Fraction:

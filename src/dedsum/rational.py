@@ -16,28 +16,6 @@ from fractions import Fraction
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
-def normalized(num: int, den: int = 1) -> Fraction:
-    """Lowest-terms rational num/den with den > 0; zero is 0/1."""
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)
-
-
-def apply_op(lhs: Fraction, op: str, rhs: Fraction) -> Fraction:
-    """Apply one of ``+ - * /`` exactly; result is in lowest terms."""
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        if rhs == 0:
-            raise ZeroDivisionError("division by zero")
-        return lhs / rhs
-    raise ValueError(f"unknown operator: {op!r}")
-
-
 def format_exact(q: Fraction) -> str:
     """Machine form ``num/den``, lowest terms, sign on the numerator only.
 

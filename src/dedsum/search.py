@@ -80,8 +80,8 @@ def search_stream(
                 if emit is not None:
                     emit(pair)
     finally:
-        if pool:
-            pool.shutdown()
+        if pool:  # an emit that raised (e.g. a closed pipe) skips the pending slices
+            pool.shutdown(cancel_futures=True)
     return SearchResult(target, bound, tuple(hits), scanned)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -54,6 +55,18 @@ def test_sum_invalid_modulus_exits_2(capsys):
     code, _, err = run(capsys, "sum", "3", "0")
     assert code == 2
     assert "invalid modulus" in err
+
+
+def test_sum_past_int_str_limit(capsys):
+    # 4,400 digits: past CPython's default 4,300-digit int/str limit
+    b_text = "1" + "0" * 4398 + "1"
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "sum", "1", b_text, "--format", "json")
+    assert code == 0
+    row = json.loads(out)
+    assert row["b"] == b_text
+    assert row["S"].endswith("/" + b_text)  # S(1, b) = (b-1)(b-2)/b, b odd
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_cf_human(capsys):
@@ -124,6 +137,15 @@ def test_family_human(capsys):
     assert "rewrite-tail" in out
     assert "S = 2/3" in out
     assert "t=0" in out
+
+
+def test_family_members_past_int_str_limit(capsys):
+    # members from t = 11 on have more than 4,300 digits
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "family", "1", str(10**200 + 1), "--count", "14")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 15
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_family_rejects_bad_c(capsys):
@@ -223,6 +245,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "18/7" in proc.stdout
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_search_into_closed_pipe_exits_quietly(jobs):
+    # like `| head -1`: the reader leaves after one line while hits remain
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dedsum", "search", "18/7", "8000",
+         "--format", "tsv", "--jobs", jobs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONUNBUFFERED="1"),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first == b"3\t14\n"
+    assert err == b""
+    assert proc.returncode == 141
 
 
 def test_family_verify_failure_exit_code_is_wired():

@@ -14,11 +14,6 @@ from dedsum.dedekind import (
     sawtooth,
 )
 
-try:
-    from dedsum import _kernel
-except ImportError:
-    _kernel = None
-
 
 def coprime_pairs(b_max):
     for b in range(1, b_max + 1):
@@ -144,11 +139,3 @@ def test_pure_kernel_rejects_non_coprime():
         _kernel_py.normalized_sum_parts(6, 14)
     with pytest.raises(ValueError, match="not coprime"):
         _kernel_py.normalized_sum_parts(0, 5)
-
-
-@pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
-def test_compiled_kernel_matches_pure():
-    for a, b in coprime_pairs(120):
-        assert _kernel.normalized_sum_parts(a, b) == _kernel_py.normalized_sum_parts(a, b)
-    with pytest.raises(ValueError):
-        _kernel.normalized_sum_parts(6, 14)

@@ -10,41 +10,21 @@ from dedsum import rational
 ints = st.integers(min_value=-10**12, max_value=10**12)
 
 
+# The canonical "num/den" form is normalized: lowest terms, positive
+# denominator, zero as 0/1.
+
 def test_normalize_reduces_to_lowest_terms():
-    q = rational.normalized(24, 14)
-    assert (q.numerator, q.denominator) == (12, 7)
+    assert rational.format_exact(rational.parse_exact("24/14")) == "12/7"
 
 
 def test_normalize_zero_case():
-    q = rational.normalized(0, -5)
-    assert (q.numerator, q.denominator) == (0, 1)
+    assert rational.format_exact(Fraction(0, -5)) == "0/1"
+    assert rational.format_exact(rational.parse_exact("-0/5")) == "0/1"
 
 
 def test_normalize_sign_moves_to_numerator():
-    q = rational.normalized(-36, -14)
-    assert (q.numerator, q.denominator) == (18, 7)
-
-
-def test_normalize_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        rational.normalized(1, 0)
-
-
-def test_arith_basic():
-    assert rational.apply_op(Fraction(1, 2), "+", Fraction(1, 3)) == Fraction(5, 6)
-    assert rational.apply_op(Fraction(4), "-", Fraction(10, 7)) == Fraction(18, 7)
-    x = Fraction(-22, 7)
-    assert rational.apply_op(x, "*", Fraction(1)) == x
-
-
-def test_arith_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        rational.apply_op(Fraction(1), "/", Fraction(0))
-
-
-def test_arith_unknown_operator():
-    with pytest.raises(ValueError):
-        rational.apply_op(Fraction(1), "^", Fraction(2))
+    assert rational.format_exact(Fraction(-36, -14)) == "18/7"
+    assert rational.format_exact(Fraction(5, -7)) == "-5/7"
 
 
 @given(ints, ints, ints)
@@ -55,17 +35,16 @@ def test_integer_ring_laws(a, b, c):
 
 @given(ints, st.integers(min_value=1, max_value=10**12))
 def test_normalize_idempotent(num, den):
-    q = rational.normalized(num, den)
-    again = rational.normalized(q.numerator, q.denominator)
-    assert (again.numerator, again.denominator) == (q.numerator, q.denominator)
+    text = rational.format_exact(rational.parse_exact(f"{num}/{den}"))
+    assert rational.parse_exact(text) == Fraction(num, den)
+    assert rational.format_exact(rational.parse_exact(text)) == text
 
 
 @given(ints, st.integers(min_value=1, max_value=10**9))
 def test_coprime_round_trip(p, q):
     g = math.gcd(p, q)
     p, q = p // g, q // g
-    r = rational.normalized(p, q)
-    assert (r.numerator, r.denominator) == (p, q)
+    assert rational.format_exact(Fraction(p, q)) == f"{p}/{q}"
 
 
 @pytest.mark.parametrize(

@@ -5,15 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from dedsum import _kernel_py
 from dedsum.dedekind import CoprimePair, dedekind_sum_naive
 from dedsum.search import search_stream, search_value
-
-try:
-    from dedsum import _kernel
-except ImportError:
-    _kernel = None
-
 
 # Every reduced pair with b < 1000 whose normalized sum is 18/7.  The
 # well-known table of these pairs lists one numerator per denominator;
@@ -134,18 +127,3 @@ def test_scanned_counts_post_prune_coprime_evaluations():
     assert pruned.pairs_scanned == sum(
         sum(1 for a in range(1, b) if math.gcd(a, b) == 1) for b in range(2, 100) if b % 7 == 0
     )
-
-
-@pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
-def test_compiled_scan_matches_pure_scan():
-    cases = [
-        (18, 7, 2, 300, True),
-        (18, 7, 2, 300, False),
-        (0, 1, 2, 120, True),
-        (-2, 3, 2, 120, False),
-        (3, 2, 50, 160, True),
-    ]
-    for u, v, lo, hi, prune in cases:
-        assert _kernel.scan_slice(u, v, lo, hi, prune) == _kernel_py.scan_slice(
-            u, v, lo, hi, prune
-        ), (u, v, lo, hi, prune)
