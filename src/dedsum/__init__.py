@@ -25,6 +25,7 @@ from .family import (
     members,
     plan_family,
     verify_member,
+    verify_members,
     verify_period_constancy,
 )
 from .search import SearchResult, search_stream, search_value
@@ -55,5 +56,6 @@ __all__ = [
     "search_value",
     "surd_from_period",
     "verify_member",
+    "verify_members",
     "verify_period_constancy",
 ]

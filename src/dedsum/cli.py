@@ -104,11 +104,7 @@ def _cmd_surd(args) -> int:
 def _cmd_family(args) -> int:
     plan = family.plan_family(args.a, args.b, args.c)
     rows = family.members(plan, args.count)
-    for m in rows:  # fail closed: nothing is printed unless every member checks out
-        if not family.verify_member(m, plan.source):
-            raise VerificationError(
-                f"member t={m.t} ({m.pair.a}, {m.pair.b}) does not match the source value"
-            )
+    family.verify_members(plan, rows)  # fail closed: nothing is printed unless all check out
     if args.format == "json":
         print(_jdump({
             "a": str(plan.source.a),

@@ -11,6 +11,13 @@ S(a, b) while the denominators q_k grow exponentially.
 The degenerate source a/b = 0/1 has no expansion to work with; it is
 dispatched to the classical zero family (a, a^2 + 1), all of whose
 members have sum 0.
+
+verify_members re-checks a whole family at once.  Member t+1's expansion
+is member t's with 2L period terms in front, so one Euclidean descent of
+the deepest member passes through every shallower member's pair, and a
+backward sweep over its quotients gives each member's sum.  Members not
+met on that path, and zero-family members, are evaluated one by one;
+verify_member stays as the per-member oracle.
 """
 
 from __future__ import annotations
@@ -86,7 +93,8 @@ def iter_members(plan: FamilyPlan) -> Iterator[FamilyMember]:
     """Lazy stream of members t = 0, 1, 2, ...; denominators increase strictly.
 
     The member value is stamped from the plan, not recomputed -- use
-    verify_member for an independent check.
+    verify_members (or verify_member, one at a time) for an independent
+    check.
     """
     if plan.case is FamilyCase.ZERO:
         t = 0
@@ -117,6 +125,69 @@ def verify_member(member: FamilyMember, source: CoprimePair) -> bool:
     got = normalized_sum_fast(member.pair.a, member.pair.b)
     want = normalized_sum_fast(source.a, source.b)
     return got == want
+
+
+def verify_members(plan: FamilyPlan, rows: Sequence[FamilyMember]) -> None:
+    """Fail closed: raise VerificationError naming the lowest failing t.
+
+    ``rows`` are in t order.  Each member's sum is recomputed from its
+    pair and compared with S(plan.source), recomputed too.  For a
+    periodic plan the members met on the descent of the deepest one
+    share that descent; every other member gets its own.
+    """
+    want = normalized_sum_fast(plan.source.a, plan.source.b)
+    shared = _shared_descent(rows, want) if plan.period is not None and rows else {}
+    for i, m in enumerate(rows):
+        ok = shared.get(i)
+        if ok is None:
+            ok = normalized_sum_fast(m.pair.a, m.pair.b) == want
+        if not ok:
+            raise VerificationError(
+                f"member t={m.t} ({m.pair.a}, {m.pair.b}) does not match the source value"
+            )
+
+
+def _shared_descent(rows: Sequence[FamilyMember], want: Fraction) -> dict[int, bool]:
+    """{row index: S == want} for the rows met on the deepest row's descent.
+
+    Only the quotients c_1..c_n are kept.  A row met at step j has the
+    quotients c_{j+1}..c_n, so the kernel's closed form is read from the
+    end: the alternating sum A_j = c_{j+1} - A_{j+1}, and q_{n-1} as the
+    continuant U_j = c_{j+1}*U_{j+1} + U_{j+2} with U_{n-1} = 1, U_n = 0.
+    """
+    # (b, a, row) by b descending; r0 only decreases, so one pointer
+    # walks the list.  The sentinel's b = 0 is never reached.
+    todo = sorted(((m.pair.b, m.pair.a, i) for i, m in enumerate(rows)), reverse=True)
+    todo.append((0, 0, -1))
+    r0, r1 = todo[0][0], todo[0][1]
+    pos = 0
+    met: dict[int, int] = {}  # step j -> row
+    quotients = []
+    while r1:
+        while todo[pos][0] > r0:
+            pos += 1
+        b, a, i = todo[pos]
+        if b == r0 and a == r1:
+            met[len(quotients)] = i
+            pos += 1
+        c = r0 // r1
+        quotients.append(c)
+        r0, r1 = r1, r0 - c * r1
+    n = len(quotients)
+    num_want, den_want = want.numerator, want.denominator
+    out = {}
+    alt, u, u_next = 0, 0, 1  # A_n, U_n, U_{n+1}
+    for j in range(n - 1, -1, -1):
+        c = quotients[j]
+        alt = c - alt
+        u, u_next = c * u + u_next, u
+        i = met.get(j)
+        if i is not None:
+            a, b = rows[i].pair.a, rows[i].pair.b
+            odd = (n - j) & 1
+            num = (alt - 3 * odd) * b + a + (u if odd else -u)
+            out[i] = num * den_want == num_want * b  # num/b == want, no gcd
+    return out
 
 
 def verify_period_constancy(period: Sequence[int], depth: int = 3) -> bool:

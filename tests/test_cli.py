@@ -1,17 +1,33 @@
+import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dedsum
 from dedsum.cli import main
+from dedsum.dedekind import CoprimePair, normalized_sum_fast
+from dedsum.rational import format_exact, parse_exact
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def child_env(**extra):
+    """os.environ for a child interpreter that imports this same dedsum."""
+    src = os.path.dirname(os.path.dirname(dedsum.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
 
 
 def assert_canonical_json_lines(text):
@@ -241,7 +257,7 @@ def test_unknown_command_exits_2(capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dedsum", "sum", "5", "14"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert "18/7" in proc.stdout
@@ -254,7 +270,7 @@ def test_search_into_closed_pipe_exits_quietly(jobs):
         [sys.executable, "-m", "dedsum", "search", "18/7", "8000",
          "--format", "tsv", "--jobs", jobs],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONUNBUFFERED="1"),
+        env=child_env(PYTHONUNBUFFERED="1"),
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -264,15 +280,66 @@ def test_search_into_closed_pipe_exits_quietly(jobs):
     assert proc.returncode == 141
 
 
-def test_family_verify_failure_exit_code_is_wired():
-    # force the fail-closed branch by faking a bad member
-    import dedsum.cli as cli_mod
-    from dedsum.family import VerificationError
+def test_family_verify_failure_exit_code_is_wired(capsys, monkeypatch):
+    # a real bad member: the genuine rows with one pair replaced by (1, 3),
+    # whose S = 2/3 is neither 18/7 nor the zero family's 0
+    real = dedsum.family.members
+    for a, b, count, bad in [("5", "14", 6, 0), ("5", "14", 6, 3), ("5", "14", 6, 5),
+                             ("0", "1", 4, 2)]:
+        def fake(plan, n, bad=bad):
+            rows = real(plan, n)
+            rows[bad] = dataclasses.replace(rows[bad], pair=CoprimePair(1, 3))
+            return rows
 
-    real = cli_mod.family.verify_member
-    cli_mod.family.verify_member = lambda m, s: False
-    try:
-        code = main(["family", "5", "14", "--count", "1"])
-    finally:
-        cli_mod.family.verify_member = real
-    assert code == 3
+        monkeypatch.setattr(dedsum.family, "members", fake)
+        code, out, err = run(capsys, "family", a, b, "--count", str(count), "--format", "json")
+        assert (code, out) == (3, ""), (a, b, bad)
+        assert f"member t={bad} " in err, (a, b, bad)
+
+
+def run_quiet(*argv):
+    """(exit code, stdout) of main, without pytest's function-scoped capsys."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+def coprime_pairs(a_min, b_min, b_max):
+    """Reduced pairs (a, b), a_min <= a < b, b_min <= b <= b_max."""
+    return st.integers(b_min, b_max).flatmap(
+        lambda b: st.tuples(st.integers(a_min, b - 1), st.just(b))
+    ).filter(lambda ab: math.gcd(*ab) == 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(coprime_pairs(0, 1, 10**4), st.integers(1, 9), st.integers(1, 30))
+def test_family_json_members_re_evaluate(source, c, count):
+    a, b = source
+    code, out = run_quiet("family", str(a), str(b), "--c", str(c),
+                          "--count", str(count), "--format", "json")
+    assert code == 0
+    assert_canonical_json_lines(out)
+    head, *lines = [json.loads(line) for line in out.splitlines()]
+    want = parse_exact(head["S"])
+    assert len(lines) == count
+    denominators = [int(row["b"]) for row in lines]
+    assert all(x < y for x, y in zip(denominators, denominators[1:]))
+    for row in lines:
+        assert row["S"] == head["S"]
+        assert normalized_sum_fast(int(row["a"]), int(row["b"])) == want
+
+
+@settings(deadline=None, max_examples=25)
+@given(coprime_pairs(1, 2, 300), st.integers(2, 300))
+def test_search_json_hits_re_evaluate(pair, bound):
+    # the target is a value some pair attains, so most draws have hits
+    target = normalized_sum_fast(*pair)
+    # "--" lets a negative target through argparse
+    code, out = run_quiet("search", "--format", "json", "--", format_exact(target), str(bound))
+    assert code == 0
+    hits = [(int(h["a"]), int(h["b"])) for h in json.loads(out)]
+    for a, b in hits:
+        assert b < bound
+        assert normalized_sum_fast(a, b) == target
+    assert (pair in hits) == (pair[1] < bound)

@@ -1,17 +1,22 @@
+import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from dedsum import family
 from dedsum.dedekind import CoprimePair, dedekind_sum_naive, normalized_sum_fast
 from dedsum.family import (
     FamilyCase,
     FamilyMember,
+    VerificationError,
     iter_members,
     members,
     plan_family,
     verify_member,
+    verify_members,
     verify_period_constancy,
 )
 from dedsum.surd import closed_form_value, surd_from_period
@@ -163,3 +168,89 @@ def test_iter_members_is_lazy():
     assert (first.t, first.k) == (0, 4)
     second = next(gen)
     assert (second.t, second.k) == (1, 14)
+
+
+def oracle_plans(seed=20261018):
+    """Two rewrite-tail plans, append-term plans for c in (1, 2, 3, 9), and
+    zero families, from seeded sources with b < 500."""
+    rng = random.Random(seed)
+    plans = [plan_family(0, 1), plan_family(5, 14), plan_family(2, 5, c=3)]  # S = 0, 18/7, 0
+    wanted = [(FamilyCase.REWRITE_TAIL, 1)] * 2 + [(FamilyCase.APPEND_TERM, c) for c in (1, 2, 3, 9)]
+    while wanted:
+        b = rng.randint(2, 500)
+        a = rng.randrange(1, b)
+        if math.gcd(a, b) != 1:
+            continue
+        for case, c in wanted:
+            plan = plan_family(a, b, c)
+            if plan.case is case:
+                wanted.remove((case, c))
+                plans.append(plan)
+                break
+    return plans
+
+
+def first_failure(plan, rows):
+    """The t verify_members names, or None when it accepts the rows."""
+    try:
+        verify_members(plan, rows)
+    except VerificationError as exc:
+        return int(re.match(r"member t=(\d+) ", str(exc)).group(1))
+    return None
+
+
+def oracle_failure(plan, rows):
+    """The lowest t that the per-member oracle rejects, or None."""
+    return next((m.t for m in rows if not verify_member(m, plan.source)), None)
+
+
+def corruptions(rows):
+    """Copies of rows with one pair changed (a+-1, b+-1, a -> b-a) or two pairs swapped."""
+    for i, m in enumerate(rows):
+        a, b = m.pair.a, m.pair.b
+        for x, y in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1), (b - a, b)):
+            if 0 <= x < y and math.gcd(x, y) == 1:
+                yield rows[:i] + [dataclasses.replace(m, pair=CoprimePair(x, y))] + rows[i + 1:]
+    for i, j in [(i, i + 1) for i in range(len(rows) - 1)] + [(0, len(rows) - 1)]:
+        if i < j:
+            out = list(rows)
+            out[i] = dataclasses.replace(rows[i], pair=rows[j].pair)
+            out[j] = dataclasses.replace(rows[j], pair=rows[i].pair)
+            yield out
+
+
+def test_verify_members_agrees_with_per_member_oracle():
+    rng = random.Random(7)
+    rejected = 0
+    for plan in oracle_plans():
+        for count in (1, rng.randint(2, 39), 40):
+            rows = members(plan, count)
+            assert first_failure(plan, rows) is None, (plan.source, count)
+            for bad in corruptions(rows):
+                want = oracle_failure(plan, bad)
+                assert first_failure(plan, bad) == want, (plan.source, count)
+                rejected += want is not None
+    assert rejected > 1000
+
+
+def test_verify_members_accepts_a_correct_pair_off_the_chain(monkeypatch):
+    plan = plan_family(5, 14)
+    rows = members(plan, 4)
+    rows[2] = dataclasses.replace(rows[2], pair=CoprimePair(27, 70))  # S(27, 70) = 18/7
+    calls = []
+    real = family.normalized_sum_fast
+    monkeypatch.setattr(family, "normalized_sum_fast", lambda a, b: calls.append((a, b)) or real(a, b))
+    verify_members(plan, rows)
+    assert calls == [(5, 14), (27, 70)]  # the source, then the one member off the descent
+
+
+def test_verify_members_shares_one_descent(monkeypatch):
+    # a silent fallback to one descent per member must fail here, not
+    # only show up as a slower benchmark
+    plan = plan_family(5, 14)
+    rows = members(plan, 200)
+    calls = []
+    real = family.normalized_sum_fast
+    monkeypatch.setattr(family, "normalized_sum_fast", lambda a, b: calls.append((a, b)) or real(a, b))
+    verify_members(plan, rows)
+    assert calls == [(5, 14)]
