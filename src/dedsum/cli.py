@@ -157,22 +157,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     target = rational.parse_exact(args.target)
+    emit = (lambda p: print(f"{p.a}\t{p.b}")) if args.format == "tsv" else None
+    result = search.search_stream(target, args.bound, emit,
+                                  prune=not args.no_prune, jobs=args.jobs)
     if args.format == "json":
-        result = search.search_value(target, args.bound,
-                                     prune=not args.no_prune, jobs=args.jobs)
         print(_jdump([{"a": str(p.a), "b": str(p.b)} for p in result.hits]))
-        return 0
-    if args.format == "tsv":
-        emit = lambda p: print(f"{p.a}\t{p.b}")
-        search.search_stream(target, args.bound, emit,
-                             prune=not args.no_prune, jobs=args.jobs)
-        return 0
-    result = search.search_value(target, args.bound,
-                                 prune=not args.no_prune, jobs=args.jobs)
-    print(f"S = {_human_rat(target)} for b < {args.bound}: "
-          f"{len(result.hits)} pairs (scanned {result.pairs_scanned})")
-    for p in result.hits:
-        print(f"({p.a}, {p.b})")
+    elif args.format == "human":
+        print(f"S = {_human_rat(target)} for b < {args.bound}: "
+              f"{len(result.hits)} pairs (scanned {result.pairs_scanned})")
+        for p in result.hits:
+            print(f"({p.a}, {p.b})")
     return 0
 
 
@@ -221,7 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="all pairs with S(a,b) = target and b < bound")
-    p.add_argument("target", help='rational target, e.g. "18/7"')
+    p.add_argument("target", help='rational target, e.g. "18/7"; give a negative one '
+                                  'after "--", e.g. search --format tsv -- -18/7 100')
     p.add_argument("bound", type=int, help="exclusive upper bound on b")
     p.add_argument("--no-prune", action="store_true",
                    help="disable the even-integer denominator filter")

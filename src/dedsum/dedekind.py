@@ -51,9 +51,7 @@ def reduce_pair(a: int, b: int) -> CoprimePair:
     """
     if b < 1:
         raise ValueError("invalid modulus")
-    if math.gcd(a, b) != 1:
-        raise ValueError("not coprime")
-    return CoprimePair(a % b, b)
+    return CoprimePair(a % b, b)  # checks coprimality
 
 
 def sawtooth(x: Fraction) -> Fraction:
@@ -81,9 +79,9 @@ def dedekind_sum_naive(a: int, b: int) -> Fraction:
 
 def normalized_sum_fast(a: int, b: int) -> Fraction:
     """S(a, b) = 12*s(a, b) via the Euclidean kernel; O(log b) steps."""
-    pair = reduce_pair(a, b)
-    num, den = _backend.eval_parts(pair.a, pair.b)
-    return Fraction(num, den)
+    if b < 1:
+        raise ValueError("invalid modulus")
+    return Fraction(*_backend.eval_parts(a % b, b))  # the kernel checks coprimality
 
 
 def normalized_sum(a: int, b: int, method: str = "fast") -> Fraction:

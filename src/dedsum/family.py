@@ -12,12 +12,13 @@ The degenerate source a/b = 0/1 has no expansion to work with; it is
 dispatched to the classical zero family (a, a^2 + 1), all of whose
 members have sum 0.
 
-verify_members re-checks a whole family at once.  Member t+1's expansion
-is member t's with 2L period terms in front, so one Euclidean descent of
-the deepest member passes through every shallower member's pair, and a
-backward sweep over its quotients gives each member's sum.  Members not
-met on that path, and zero-family members, are evaluated one by one;
-verify_member stays as the per-member oracle.
+verify_members re-checks a whole family at once, and
+verify_period_constancy checks a period the same way.  Member t+1's
+expansion is member t's with 2L period terms in front, so one Euclidean
+descent of the deepest member passes through every shallower member's
+pair, and a backward sweep over its quotients gives each member's sum.
+Members not met on that path, and zero-family members, are evaluated one
+by one; verify_member stays as the per-member oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .contfrac import expand, iter_convergents
+from .contfrac import Convergent, expand, iter_convergents, to_alternate
 from .dedekind import CoprimePair, normalized_sum_fast, reduce_pair
 
 
@@ -54,13 +55,6 @@ class FamilyPlan:
     def period_length(self) -> int | None:
         return None if self.period is None else len(self.period)
 
-    def member_index(self, t: int) -> int | None:
-        """Convergent index of member t: k = L-1 + 2*L*t."""
-        if self.period is None:
-            return None
-        length = len(self.period)
-        return length - 1 + 2 * length * t
-
 
 @dataclass(frozen=True)
 class FamilyMember:
@@ -82,10 +76,10 @@ def plan_family(a: int, b: int, c: int = 1) -> FamilyPlan:
     value = normalized_sum_fast(source.a, source.b)
     if source.a == 0:  # b == 1 necessarily
         return FamilyPlan(source, FamilyCase.ZERO, None, None, value)
-    terms = expand(source.a, source.b).terms
-    if len(terms) % 2 == 0:
-        return FamilyPlan(source, FamilyCase.APPEND_TERM, terms + (c,), c, value)
-    period = terms[:-1] + (terms[-1] - 1, 1, 1)
+    e = expand(source.a, source.b)
+    if len(e.terms) % 2 == 0:
+        return FamilyPlan(source, FamilyCase.APPEND_TERM, e.terms + (c,), c, value)
+    period = to_alternate(e).terms + (1,)
     return FamilyPlan(source, FamilyCase.REWRITE_TAIL, period, None, value)
 
 
@@ -103,14 +97,13 @@ def iter_members(plan: FamilyPlan) -> Iterator[FamilyMember]:
             yield FamilyMember(t, None, CoprimePair(base, base * base + 1), plan.value)
             t += 1
     assert plan.period is not None
-    length = len(plan.period)
-    t = 0
-    next_k = length - 1
-    for row in iter_convergents(plan.period):
-        if row.k == next_k:
-            yield FamilyMember(t, row.k, CoprimePair(row.p, row.q), plan.value)
-            t += 1
-            next_k += 2 * length
+    for t, row in enumerate(_progression(plan.period)):
+        yield FamilyMember(t, row.k, CoprimePair(row.p, row.q), plan.value)
+
+
+def _progression(period: Sequence[int]) -> Iterator[Convergent]:
+    """The convergent rows k = L-1 + 2*L*t, t = 0, 1, 2, ...: member t is row t."""
+    return islice(iter_convergents(period), len(period) - 1, None, 2 * len(period))
 
 
 def members(plan: FamilyPlan, count: int) -> list[FamilyMember]:
@@ -136,32 +129,45 @@ def verify_members(plan: FamilyPlan, rows: Sequence[FamilyMember]) -> None:
     share that descent; every other member gets its own.
     """
     want = normalized_sum_fast(plan.source.a, plan.source.b)
-    shared = _shared_descent(rows, want) if plan.period is not None and rows else {}
-    for i, m in enumerate(rows):
+    pairs = [(m.pair.a, m.pair.b) for m in rows]
+    shared = _shared_descent(pairs, want) if plan.period is not None else {}
+    i = _first_mismatch(pairs, want, shared)
+    if i is not None:
+        m = rows[i]
+        raise VerificationError(
+            f"member t={m.t} ({m.pair.a}, {m.pair.b}) does not match the source value"
+        )
+
+
+def _first_mismatch(pairs: Sequence[tuple[int, int]], want: Fraction,
+                    shared: dict[int, bool]) -> int | None:
+    """First index whose S is not ``want`` (from ``shared``, else the kernel), or None."""
+    for i, (a, b) in enumerate(pairs):
         ok = shared.get(i)
         if ok is None:
-            ok = normalized_sum_fast(m.pair.a, m.pair.b) == want
+            ok = normalized_sum_fast(a, b) == want
         if not ok:
-            raise VerificationError(
-                f"member t={m.t} ({m.pair.a}, {m.pair.b}) does not match the source value"
-            )
+            return i
+    return None
 
 
-def _shared_descent(rows: Sequence[FamilyMember], want: Fraction) -> dict[int, bool]:
-    """{row index: S == want} for the rows met on the deepest row's descent.
+def _shared_descent(pairs: Sequence[tuple[int, int]], want: Fraction) -> dict[int, bool]:
+    """{pair index: S == want} for the pairs met on the deepest pair's descent.
 
-    Only the quotients c_1..c_n are kept.  A row met at step j has the
+    Pairs are (a, b), 0 <= a < b.  The result is empty unless the descent
+    ends at remainder 1; gcd is constant along it, so every pair met is coprime.
+    Only the quotients c_1..c_n are kept.  A pair met at step j has the
     quotients c_{j+1}..c_n, so the kernel's closed form is read from the
     end: the alternating sum A_j = c_{j+1} - A_{j+1}, and q_{n-1} as the
     continuant U_j = c_{j+1}*U_{j+1} + U_{j+2} with U_{n-1} = 1, U_n = 0.
     """
-    # (b, a, row) by b descending; r0 only decreases, so one pointer
+    # (b, a, index) by b descending; r0 only decreases, so one pointer
     # walks the list.  The sentinel's b = 0 is never reached.
-    todo = sorted(((m.pair.b, m.pair.a, i) for i, m in enumerate(rows)), reverse=True)
+    todo = sorted(((b, a, i) for i, (a, b) in enumerate(pairs)), reverse=True)
     todo.append((0, 0, -1))
     r0, r1 = todo[0][0], todo[0][1]
     pos = 0
-    met: dict[int, int] = {}  # step j -> row
+    met: dict[int, int] = {}  # step j -> pair index
     quotients = []
     while r1:
         while todo[pos][0] > r0:
@@ -173,6 +179,8 @@ def _shared_descent(rows: Sequence[FamilyMember], want: Fraction) -> dict[int, b
         c = r0 // r1
         quotients.append(c)
         r0, r1 = r1, r0 - c * r1
+    if r0 != 1:
+        return {}
     n = len(quotients)
     num_want, den_want = want.numerator, want.denominator
     out = {}
@@ -183,7 +191,7 @@ def _shared_descent(rows: Sequence[FamilyMember], want: Fraction) -> dict[int, b
         u, u_next = c * u + u_next, u
         i = met.get(j)
         if i is not None:
-            a, b = rows[i].pair.a, rows[i].pair.b
+            a, b = pairs[i]
             odd = (n - j) & 1
             num = (alt - 3 * odd) * b + a + (u if odd else -u)
             out[i] = num * den_want == num_want * b  # num/b == want, no gcd
@@ -193,8 +201,8 @@ def _shared_descent(rows: Sequence[FamilyMember], want: Fraction) -> dict[int, b
 def verify_period_constancy(period: Sequence[int], depth: int = 3) -> bool:
     """Check S(p_k, q_k) is constant over k = L-1, 3L-1, ..., (2*depth-1)*L-1.
 
-    Requires odd period length; evaluates each pair independently with
-    the fast kernel.
+    Requires odd period length; checks the pairs against the first one's
+    sum with the checker verify_members uses.
     """
     period = tuple(period)
     if not period:
@@ -203,13 +211,6 @@ def verify_period_constancy(period: Sequence[int], depth: int = 3) -> bool:
         raise ValueError("odd period length required")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    length = len(period)
-    wanted = {length - 1 + 2 * length * t for t in range(depth)}
-    last = max(wanted)
-    values = []
-    for row in iter_convergents(period):
-        if row.k in wanted:
-            values.append(normalized_sum_fast(row.p, row.q))
-        if row.k == last:
-            break
-    return all(v == values[0] for v in values)
+    pairs = [(row.p, row.q) for row in islice(_progression(period), depth)]
+    want = normalized_sum_fast(*pairs[0])
+    return _first_mismatch(pairs, want, _shared_descent(pairs, want)) is None

@@ -198,6 +198,13 @@ def test_search_tsv(capsys):
     assert out == "3\t14\n5\t14\n13\t70\n27\t70\n"
 
 
+def test_search_negative_target_after_double_dash(capsys):
+    # S(b - a, b) = -S(a, b): the 18/7 hits mirrored
+    code, out, _ = run(capsys, "search", "--format", "tsv", "--", "-18/7", "100")
+    assert code == 0
+    assert out == "9\t14\n11\t14\n43\t70\n57\t70\n"
+
+
 def test_search_json(capsys):
     code, out, _ = run(capsys, "search", "18/7", "100", "--format", "json")
     assert code == 0

@@ -75,6 +75,16 @@ def test_reduce_pair_errors():
         reduce_pair(3, -2)
 
 
+def test_fast_errors():
+    # the kernel's descent, not a separate gcd, rejects a pair that is not coprime
+    for a, b in [(6, 14), (0, 5)]:
+        with pytest.raises(ValueError, match="not coprime"):
+            normalized_sum_fast(a, b)
+    for a, b in [(3, 0), (3, -2)]:
+        with pytest.raises(ValueError, match="invalid modulus"):
+            normalized_sum_fast(a, b)
+
+
 def test_coprime_pair_validates():
     with pytest.raises(ValueError):
         CoprimePair(14, 5)  # not reduced

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from dedsum import family
+from dedsum.cli import main
 from dedsum.dedekind import CoprimePair, dedekind_sum_naive, normalized_sum_fast
 from dedsum.family import (
     FamilyCase,
@@ -28,8 +29,6 @@ def test_plan_worked_example():
     assert plan.period == (2, 1, 3, 1, 1)
     assert plan.period_length == 5
     assert plan.value == Fraction(18, 7)
-    assert plan.member_index(0) == 4
-    assert plan.member_index(1) == 14
 
 
 def test_plan_odd_expansion_examples():
@@ -102,7 +101,7 @@ def test_member_indices_follow_progression():
     plan = plan_family(3, 11, c=2)
     length = plan.period_length
     for m in members(plan, 5):
-        assert m.k == plan.member_index(m.t)
+        assert m.k == length - 1 + 2 * length * m.t
         assert m.k % (2 * length) == length - 1
 
 
@@ -119,6 +118,45 @@ def test_period_constancy_known():
     assert verify_period_constancy((2, 1, 3, 1, 1), depth=3)
     assert verify_period_constancy((1,), depth=3)
     assert verify_period_constancy((1, 1, 1), depth=2)
+
+
+def convergents_with_row(k_bad, p, q):
+    """family.iter_convergents with row k_bad's pair replaced by (p, q)."""
+    real = family.iter_convergents
+
+    def fake(period):
+        for row in real(period):
+            yield row._replace(p=p, q=q) if row.k == k_bad else row
+
+    return fake
+
+
+@pytest.mark.parametrize("k_bad", [4, 24, 34])  # the first, a middle and the last row
+def test_period_constancy_fails_closed(capsys, monkeypatch, k_bad):
+    # S(1, 3) = 2/3, not 18/7
+    monkeypatch.setattr(family, "iter_convergents", convergents_with_row(k_bad, 1, 3))
+    assert not verify_period_constancy((2, 1, 3, 1, 1), depth=4)
+    assert main(["verify", "2", "1", "3", "1", "1", "--depth", "4"]) == 3
+    out = capsys.readouterr()
+    assert "FAILED" in out.out
+    assert "not constant" in out.err
+
+
+def test_period_constancy_rejects_a_row_that_is_not_coprime(monkeypatch):
+    # gcd(42, 77) = 7, yet the closed form read off its descent is 18/7;
+    # the descent ends at remainder 7, so it must certify nothing and
+    # leave the row to the kernel
+    monkeypatch.setattr(family, "iter_convergents", convergents_with_row(14, 42, 77))
+    with pytest.raises(ValueError, match="not coprime"):
+        verify_period_constancy((2, 1, 3, 1, 1), depth=2)
+
+
+def test_period_constancy_shares_one_descent(monkeypatch):
+    calls = []
+    real = family.normalized_sum_fast
+    monkeypatch.setattr(family, "normalized_sum_fast", lambda a, b: calls.append((a, b)) or real(a, b))
+    assert verify_period_constancy((2, 1, 3, 1, 1), depth=12)
+    assert calls == [(5, 14)]  # the first row; the other eleven are read off its descent
 
 
 def test_period_constancy_errors():
