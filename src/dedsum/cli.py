@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import contfrac, family, rational, search, surd
 from .dedekind import dedekind_sum_naive, normalized_sum_fast, reduce_pair
@@ -106,6 +107,7 @@ def _cmd_family(args) -> int:
     rows = family.members(plan, args.count)
     family.verify_members(plan, rows)  # fail closed: nothing is printed unless all check out
     if args.format == "json":
+        value = rational.format_exact(plan.value)  # every member's value is the plan's
         print(_jdump({
             "a": str(plan.source.a),
             "b": str(plan.source.b),
@@ -113,7 +115,7 @@ def _cmd_family(args) -> int:
             "period": None if plan.period is None else [str(c) for c in plan.period],
             "L": plan.period_length,
             "c": plan.appended_term,
-            "S": rational.format_exact(plan.value),
+            "S": value,
         }))
         for m in rows:
             print(_jdump({
@@ -121,7 +123,7 @@ def _cmd_family(args) -> int:
                 "k": m.k,
                 "a": str(m.pair.a),
                 "b": str(m.pair.b),
-                "S": rational.format_exact(m.value),
+                "S": value,
             }))
     else:
         period = "-" if plan.period is None else str(plan.period)
@@ -135,10 +137,9 @@ def _cmd_family(args) -> int:
 
 def _cmd_verify(args) -> int:
     ok = family.verify_period_constancy(args.terms, args.depth)
-    length = len(args.terms)
-    indices = [length - 1 + 2 * length * t for t in range(args.depth)]
-    row = contfrac.convergents(args.terms, indices[0])[-1]
-    constant = normalized_sum_fast(row.p, row.q)
+    rows = list(islice(family.progression(args.terms), args.depth))
+    indices = [row.k for row in rows]
+    constant = normalized_sum_fast(rows[0].p, rows[0].q)
     if args.format == "json":
         print(_jdump({
             "period": [str(c) for c in args.terms],

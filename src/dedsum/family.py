@@ -12,13 +12,25 @@ The degenerate source a/b = 0/1 has no expansion to work with; it is
 dispatched to the classical zero family (a, a^2 + 1), all of whose
 members have sum 0.
 
+Members are built, not re-derived.  progression seeds the rows k = L-2
+and L-1 from iter_convergents and moves from member t to member t+1 by
+one 2x2 period matrix, the product of [[c, 1], [1, 0]] over the 2L
+period terms in between.  Their coprimality is certified by
+construction, so no gcd of the large numbers is taken: consecutive
+convergents satisfy p_k*q_{k-1} - p_{k-1}*q_k = +-1, and
+gcd(n, n^2 + 1) = 1 for the zero family.  CoprimePair itself still
+checks every pair built any other way.
+
 verify_members re-checks a whole family at once, and
 verify_period_constancy checks a period the same way.  Member t+1's
 expansion is member t's with 2L period terms in front, so one Euclidean
 descent of the deepest member passes through every shallower member's
 pair, and a backward sweep over its quotients gives each member's sum.
-Members not met on that path, and zero-family members, are evaluated one
-by one; verify_member stays as the per-member oracle.
+The descent certifies coprimality a second time: it trusts the pairs it
+met only when it ends at remainder 1.  Members not met on that path,
+and zero-family members, are evaluated one by one by the kernel, which
+rejects a non-coprime pair itself; verify_member stays as the
+per-member oracle.
 """
 
 from __future__ import annotations
@@ -86,24 +98,67 @@ def plan_family(a: int, b: int, c: int = 1) -> FamilyPlan:
 def iter_members(plan: FamilyPlan) -> Iterator[FamilyMember]:
     """Lazy stream of members t = 0, 1, 2, ...; denominators increase strictly.
 
-    The member value is stamped from the plan, not recomputed -- use
-    verify_members (or verify_member, one at a time) for an independent
-    check.
+    Periodic members are the rows of progression, one period-matrix step
+    apart; zero-family member t is (t + 1, (t + 1)^2 + 1).  Both are
+    coprime by construction (the determinant identity of consecutive
+    convergents, gcd(n, n^2 + 1) = 1), so their pairs skip the gcd that
+    CoprimePair would take.  The member value is stamped from the plan,
+    not recomputed -- use verify_members (or verify_member, one at a
+    time) for an independent check.
     """
     if plan.case is FamilyCase.ZERO:
         t = 0
         while True:
             base = t + 1
-            yield FamilyMember(t, None, CoprimePair(base, base * base + 1), plan.value)
+            yield FamilyMember(t, None, _certified(base, base * base + 1), plan.value)
             t += 1
     assert plan.period is not None
-    for t, row in enumerate(_progression(plan.period)):
-        yield FamilyMember(t, row.k, CoprimePair(row.p, row.q), plan.value)
+    for t, row in enumerate(progression(plan.period)):
+        yield FamilyMember(t, row.k, _certified(row.p, row.q), plan.value)
 
 
-def _progression(period: Sequence[int]) -> Iterator[Convergent]:
-    """The convergent rows k = L-1 + 2*L*t, t = 0, 1, 2, ...: member t is row t."""
-    return islice(iter_convergents(period), len(period) - 1, None, 2 * len(period))
+def _certified(a: int, b: int) -> CoprimePair:
+    """CoprimePair(a, b) without its checks, for a pair reduced and coprime by construction."""
+    pair = object.__new__(CoprimePair)
+    object.__setattr__(pair, "a", a)  # the dataclass is frozen
+    object.__setattr__(pair, "b", b)
+    return pair
+
+
+def progression(period: Sequence[int], *, walk: bool = False) -> Iterator[Convergent]:
+    """The convergent rows k = L-1 + 2*L*t, t = 0, 1, 2, ...: member t is row t.
+
+    Rows k = L-2 and L-1 come from iter_convergents; every later row is
+    the one 2L before it times the period matrix, eight multiplications
+    per member instead of 2L convergent rows.  walk=True takes every row
+    from iter_convergents instead, the plain recurrence that
+    verify_period_constancy checks the theorem on.
+    """
+    length = len(period)
+    if walk:
+        return islice(iter_convergents(period), length - 1, None, 2 * length)
+    return _stepped(period)
+
+
+def _stepped(period: Sequence[int]) -> Iterator[Convergent]:
+    length = len(period)
+    rows = iter_convergents(period)
+    prev, row = Convergent(-1, 1, 0), next(rows)  # rows k = -1 and 0
+    for _ in range(length - 1):
+        prev, row = row, next(rows)
+    # (p_{k+2L}, p_{k+2L-1}) = (p_k, p_{k-1}) M, M the product of
+    # [[c, 1], [1, 0]] over the period terms of rows k+1 .. k+2L
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    for j in range(2 * length):
+        c = period[(length - 1 + j) % length]
+        m00, m01, m10, m11 = m00 * c + m01, m00, m10 * c + m11, m10
+    k, p, q = row
+    p_prev, q_prev = prev.p, prev.q
+    while True:
+        yield Convergent(k, p, q)
+        k += 2 * length
+        p, p_prev = p * m00 + p_prev * m10, p * m01 + p_prev * m11
+        q, q_prev = q * m00 + q_prev * m10, q * m01 + q_prev * m11
 
 
 def members(plan: FamilyPlan, count: int) -> list[FamilyMember]:
@@ -201,8 +256,9 @@ def _shared_descent(pairs: Sequence[tuple[int, int]], want: Fraction) -> dict[in
 def verify_period_constancy(period: Sequence[int], depth: int = 3) -> bool:
     """Check S(p_k, q_k) is constant over k = L-1, 3L-1, ..., (2*depth-1)*L-1.
 
-    Requires odd period length; checks the pairs against the first one's
-    sum with the checker verify_members uses.
+    Requires odd period length.  The rows are walked by the plain
+    convergent recurrence, not built by the period matrix, and checked
+    against the first one's sum with the checker verify_members uses.
     """
     period = tuple(period)
     if not period:
@@ -211,6 +267,6 @@ def verify_period_constancy(period: Sequence[int], depth: int = 3) -> bool:
         raise ValueError("odd period length required")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    pairs = [(row.p, row.q) for row in islice(_progression(period), depth)]
+    pairs = [(row.p, row.q) for row in islice(progression(period, walk=True), depth)]
     want = normalized_sum_fast(*pairs[0])
     return _first_mismatch(pairs, want, _shared_descent(pairs, want)) is None

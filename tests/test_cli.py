@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -302,6 +303,21 @@ def test_family_verify_failure_exit_code_is_wired(capsys, monkeypatch):
         code, out, err = run(capsys, "family", a, b, "--count", str(count), "--format", "json")
         assert (code, out) == (3, ""), (a, b, bad)
         assert f"member t={bad} " in err, (a, b, bad)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("family 5 14 --count 1400 --format json",
+     "41b4d385ee45b3fc355000827dbd8ee645424b65f306bba24b5fa29e55aa4a5b"),
+    ("family 0 1 --count 700",
+     "f82228900702fec9af2f86463a902ffd9f6654fd55c8d41b2a8f129f7240b232"),
+    ("family 3 11 --c 4 --count 300",
+     "66123981e74bfd67cd546ec0a024a3fc78fc9608522e106599ac31894f0ea3fd"),
+])
+def test_family_output_is_pinned(capsys, argv, digest):
+    # the bytes the convergent walk with a gcd per member printed
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def run_quiet(*argv):

@@ -3,10 +3,11 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from dedsum import family
+from dedsum import contfrac, family
 from dedsum.cli import main
 from dedsum.dedekind import CoprimePair, dedekind_sum_naive, normalized_sum_fast
 from dedsum.family import (
@@ -103,6 +104,61 @@ def test_member_indices_follow_progression():
     for m in members(plan, 5):
         assert m.k == length - 1 + 2 * length * m.t
         assert m.k % (2 * length) == length - 1
+
+
+def seeded_period_plans(seed=20261018):
+    """Append-term plans for c = 1..9 and five rewrite-tail plans from seeded sources."""
+    rng = random.Random(seed)
+    wanted = [(FamilyCase.APPEND_TERM, c) for c in range(1, 10)] + [(FamilyCase.REWRITE_TAIL, 1)] * 5
+    plans = []
+    while wanted:
+        b = rng.randint(2, 2000)
+        a = rng.randrange(1, b)
+        if math.gcd(a, b) != 1:
+            continue
+        for case, c in wanted:
+            plan = plan_family(a, b, c)
+            if plan.case is case:
+                wanted.remove((case, c))
+                plans.append(plan)
+                break
+    return plans
+
+
+def test_members_are_the_convergent_rows():
+    # iter_convergents, walked row by row, is the oracle for the
+    # period-matrix step
+    for plan in seeded_period_plans():
+        length = plan.period_length
+        oracle = [row for row in islice(contfrac.iter_convergents(plan.period), 120 * length)
+                  if row.k % (2 * length) == length - 1]
+        assert len(oracle) == 60
+        for count in range(1, 61):
+            rows = oracle[:count]
+            got = [(m.t, m.k, m.pair.a, m.pair.b) for m in members(plan, count)]
+            assert got == [(t, k, p, q) for t, (k, p, q) in enumerate(rows)], (plan.source, count)
+            assert verify_period_constancy(plan.period, depth=count), (plan.source, count)
+
+
+@pytest.mark.parametrize("period", [(1,), (4,), (2, 1, 3, 1, 1), (9, 1, 1, 7, 2, 2, 5)])
+def test_progression_steps_match_the_walk(period):
+    # includes L = 1, whose row k = L-2 is the recurrence's seed (1, 0)
+    assert (list(islice(family.progression(period), 30))
+            == list(islice(family.progression(period, walk=True), 30)))
+
+
+@pytest.mark.parametrize("source", [(5, 14), (0, 1)])
+def test_members_skip_the_gcd(monkeypatch, source):
+    # member pairs are coprime by construction; only the source goes
+    # through CoprimePair's own checks
+    checked = []
+    real = CoprimePair.__post_init__
+    monkeypatch.setattr(CoprimePair, "__post_init__", lambda self: checked.append(self) or real(self))
+    plan = plan_family(*source)
+    rows = members(plan, 200)
+    assert checked == [plan.source]
+    assert rows[-1].t == 199
+    verify_members(plan, rows)
 
 
 def test_verify_member():
