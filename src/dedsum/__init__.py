@@ -14,7 +14,6 @@ from .dedekind import (
     normalized_sum,
     normalized_sum_fast,
     reduce_pair,
-    sawtooth,
 )
 from .family import (
     FamilyCase,
@@ -51,7 +50,6 @@ __all__ = [
     "normalized_sum_fast",
     "plan_family",
     "reduce_pair",
-    "sawtooth",
     "search_stream",
     "search_value",
     "surd_from_period",

@@ -22,10 +22,6 @@ from math import gcd
 
 def normalized_sum_parts(a: int, b: int) -> tuple[int, int]:
     """Reduced (num, den) of 12*s(a, b) for 0 <= a < b, gcd(a, b) = 1."""
-    if a == 0:
-        if b != 1:
-            raise ValueError("not coprime")
-        return 0, 1
     alt = 0
     sign = 1
     q_prev, q = 0, 1  # q_{-1}, q_0

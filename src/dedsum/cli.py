@@ -2,11 +2,11 @@
 
 Six subcommands: sum, cf, surd, family, verify, search.  Exit codes are
 0 on success, 2 for invalid input, 3 when an internal re-verification
-fails (which signals a bug, never expected use), and 141 when the reader
-of stdout goes away early (e.g. ``| head``); 141 is what a shell reports
-for a process ended by SIGPIPE.  Integers of any size are accepted and
-printed: CPython's int/str conversion limit is lifted while ``main``
-runs.
+fails (which signals a bug, never expected use), 141 when the reader of
+stdout goes away early (e.g. ``| head``) and 130 on Ctrl-C; these are
+what a shell reports for a process ended by SIGPIPE and by SIGINT.
+Integers of any size are accepted and printed: CPython's int/str
+conversion limit is lifted while ``main`` runs.
 
 Machine formats never contain floating point and render every integer as
 a decimal string, so family members and deep convergents survive
@@ -246,6 +246,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except KeyboardInterrupt:
+        return 130
     finally:
         if lift:
             sys.set_int_max_str_digits(old_limit)

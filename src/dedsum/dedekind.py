@@ -54,14 +54,6 @@ def reduce_pair(a: int, b: int) -> CoprimePair:
     return CoprimePair(a % b, b)  # checks coprimality
 
 
-def sawtooth(x: Fraction) -> Fraction:
-    """((x)): 0 at integers, else x - floor(x) - 1/2."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - math.floor(x) - Fraction(1, 2)
-
-
 def dedekind_sum_naive(a: int, b: int) -> Fraction:
     """s(a, b) straight from the defining sum; O(b) terms.
 

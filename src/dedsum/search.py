@@ -2,17 +2,22 @@
 
 Enumerates every reduced pair 0 < a < b < bound, evaluates S(a, b) with
 the fast kernel and keeps exact matches.  The sweep is embarrassingly
-parallel over disjoint b ranges; slices are merged in submission order,
-so hits come out sorted by (b, a) and the output is byte-identical
-whatever the worker count or chunking.
+parallel over disjoint b ranges, cut where their estimated cost is equal.
+Slices are merged in submission order, so hits come out sorted by (b, a)
+and the output is byte-identical whatever the worker count or chunking.
+The worker pool is terminated however the sweep stops (done, a closed
+pipe, an error or Ctrl-C), so no slice runs after its reader is gone.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import signal
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from math import isqrt
+from multiprocessing import Pool
+from typing import Callable, Optional
 
 from . import _backend
 from .dedekind import CoprimePair
@@ -32,18 +37,12 @@ def _scan_chunk(args: tuple[int, int, int, int, bool]):
     return _backend.scan_parts(u, v, lo, hi, prune)
 
 
-def _chunks(bound: int, jobs: int) -> Iterator[tuple[int, int]]:
-    # contiguous ranges; chunking affects balance only, never results
-    span = bound - 2
-    if span <= 0:
-        return
-    n = max(1, min(jobs * 4, span))
-    step = -(-span // n)
-    lo = 2
-    while lo < bound:
-        hi = min(lo + step, bound)
-        yield lo, hi
-        lo = hi
+def _chunks(bound: int, jobs: int) -> list[tuple[int, int]]:
+    # contiguous ranges of equal estimated cost: scanning one b costs about b,
+    # so [2, x) costs about x^2 - 4; chunking affects balance only, never results
+    n = max(1, min(jobs * 4, bound - 2))
+    cuts = [isqrt(4 + (bound * bound - 4) * i // n) for i in range(n + 1)]
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
 def search_stream(
@@ -69,9 +68,12 @@ def search_stream(
     tasks = [(u, v, lo, hi, prune) for lo, hi in _chunks(bound, jobs)]
     hits: list[CoprimePair] = []
     scanned = 0
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        results = pool.map(_scan_chunk, tasks) if pool else map(_scan_chunk, tasks)
+    workers = min(jobs, len(tasks))
+    # workers ignore SIGINT, so Ctrl-C interrupts only this process; leaving
+    # the block by any path terminates the pool and drops the queued slices
+    ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
+    with (Pool(workers, signal.signal, ignore_sigint) if workers > 1 else nullcontext()) as pool:
+        results = pool.imap(_scan_chunk, tasks) if pool else map(_scan_chunk, tasks)
         for chunk_hits, chunk_scanned in results:
             scanned += chunk_scanned
             for a, b in chunk_hits:
@@ -79,9 +81,6 @@ def search_stream(
                 hits.append(pair)
                 if emit is not None:
                     emit(pair)
-    finally:
-        if pool:  # an emit that raised (e.g. a closed pipe) skips the pending slices
-            pool.shutdown(cancel_futures=True)
     return SearchResult(target, bound, tuple(hits), scanned)
 
 

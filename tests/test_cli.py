@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -286,6 +287,28 @@ def test_search_into_closed_pipe_exits_quietly(jobs):
     assert first == b"3\t14\n"
     assert err == b""
     assert proc.returncode == 141
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_search_ctrl_c_exits_130(jobs):
+    # Ctrl-C signals the whole process group: main process and workers alike
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dedsum", "search", "18/7", "8000",
+         "--format", "tsv", "--jobs", jobs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=child_env(PYTHONUNBUFFERED="1"), start_new_session=True,
+    )
+    try:
+        assert proc.stdout.readline() == b"3\t14\n"
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (err, proc.returncode) == (b"", 130)
+    with pytest.raises(ProcessLookupError):  # no worker outlived the main process
+        os.killpg(proc.pid, 0)
 
 
 def test_family_verify_failure_exit_code_is_wired(capsys, monkeypatch):

@@ -11,7 +11,6 @@ from dedsum.dedekind import (
     normalized_sum,
     normalized_sum_fast,
     reduce_pair,
-    sawtooth,
 )
 
 
@@ -20,20 +19,6 @@ def coprime_pairs(b_max):
         for a in range(b):
             if math.gcd(a, b) == 1:
                 yield a, b
-
-
-def test_sawtooth_values():
-    assert sawtooth(Fraction(3)) == 0
-    assert sawtooth(Fraction(1, 4)) == Fraction(-1, 4)
-    assert sawtooth(Fraction(-1, 4)) == Fraction(1, 4)
-
-
-def test_sawtooth_is_odd_and_periodic():
-    rng = random.Random(7)
-    for _ in range(50):
-        x = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
-        assert sawtooth(-x) == -sawtooth(x)
-        assert sawtooth(x + 3) == sawtooth(x)
 
 
 def test_naive_known_values():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dedsum import search
 from dedsum.dedekind import CoprimePair, dedekind_sum_naive
 from dedsum.search import search_stream, search_value
 
@@ -127,3 +128,43 @@ def test_scanned_counts_post_prune_coprime_evaluations():
     assert pruned.pairs_scanned == sum(
         sum(1 for a in range(1, b) if math.gcd(a, b) == 1) for b in range(2, 100) if b % 7 == 0
     )
+
+
+def test_slices_cover_the_range_in_order():
+    for bound in range(2, 120):
+        for jobs in (1, 2, 3, 8):
+            slices = search._chunks(bound, jobs)
+            edges = [2] + [hi for _, hi in slices]
+            assert [lo for lo, _ in slices] == edges[:-1], (bound, jobs)
+            assert edges[-1] == bound and all(lo < hi for lo, hi in slices), (bound, jobs)
+
+
+def test_slices_balance_estimated_cost():
+    # scanning one b costs about b, so equal-cost slices carry equal sums of b
+    for bound, jobs in [(10**5, 2), (4000, 2), (2500, 2), (10**6, 8)]:
+        costs = [sum(range(lo, hi)) for lo, hi in search._chunks(bound, jobs)]
+        assert len(costs) == 4 * jobs
+        assert max(costs) <= 1.25 * min(costs), (bound, jobs)
+
+
+def test_pool_is_never_larger_than_its_work(monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, processes, initializer, initargs):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search, "Pool", InProcessPool)
+    many = search_value(Fraction(0), 6, jobs=64)
+    assert asked and all(n <= 4 for n in asked)
+    lone = search_value(Fraction(0), 6, jobs=1)
+    assert (many.hits, many.pairs_scanned) == (lone.hits, lone.pairs_scanned)
