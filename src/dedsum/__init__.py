@@ -11,7 +11,6 @@ from ._backend import kernel_name
 from .dedekind import (
     CoprimePair,
     dedekind_sum_naive,
-    normalized_sum,
     normalized_sum_fast,
     reduce_pair,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "iter_members",
     "kernel_name",
     "members",
-    "normalized_sum",
     "normalized_sum_fast",
     "plan_family",
     "reduce_pair",

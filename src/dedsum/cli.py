@@ -221,7 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("bound", type=int, help="exclusive upper bound on b")
     p.add_argument("--no-prune", action="store_true",
                    help="disable the even-integer denominator filter")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the CPU count (default 1)")
     add_format(p, choices=("human", "json", "tsv"))
     p.set_defaults(func=_cmd_search)
 

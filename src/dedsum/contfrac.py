@@ -6,17 +6,17 @@ The alternate form trades the final term for a trailing 1,
 
     (..., c_n)  ->  (..., c_n - 1, 1),
 
-which changes the length parity without changing the value.  Convergents
-p_k/q_k follow the standard two-term recurrence seeded with
-p_0/q_0 = 0/1 (and p_{-1}/q_{-1} = 1/0), so for a rational a/b the last
-convergent is exactly p_n = a, q_n = b.
+which changes the length parity without changing the value; a trailing
+1 is how the alternate form is recognised.  Convergents p_k/q_k follow
+the two-term recurrence from p_{-1}/q_{-1} = 1/0 and p_0/q_0 = 0/1, so
+for a rational a/b the last convergent is exactly p_n = a, q_n = b.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
 
@@ -25,7 +25,6 @@ class CfExpansion:
     """Finite expansion [0; terms].  Empty terms encode the value 0."""
 
     terms: tuple[int, ...]
-    canonical: bool = True
 
     def __str__(self) -> str:
         if not self.terms:
@@ -48,14 +47,14 @@ def expand(a: int, b: int) -> CfExpansion:
     """
     if b < 1 or not 0 <= a < b:
         raise ValueError("unreduced input")
-    if math.gcd(a, b) != 1:
-        raise ValueError("not coprime")
     terms = []
     r0, r1 = b, a
     while r1:
         c, r2 = divmod(r0, r1)
         terms.append(c)
         r0, r1 = r1, r2
+    if r0 != 1:  # the descent ends at gcd(a, b)
+        raise ValueError("not coprime")
     return CfExpansion(tuple(terms))
 
 
@@ -63,9 +62,9 @@ def to_alternate(e: CfExpansion) -> CfExpansion:
     """Equal-valued form one term longer, ending in 1."""
     if not e.terms:
         raise ValueError("no alternate form for zero")
-    if not e.canonical:
+    if e.terms[-1] == 1:
         raise ValueError("expansion is already in alternate form")
-    return CfExpansion(e.terms[:-1] + (e.terms[-1] - 1, 1), canonical=False)
+    return CfExpansion(e.terms[:-1] + (e.terms[-1] - 1, 1))
 
 
 def evaluate(e: CfExpansion) -> Fraction:
@@ -105,9 +104,4 @@ def convergents(period: Sequence[int], upto_k: int) -> list[Convergent]:
     """Rows k = 0..upto_k inclusive, as a list."""
     if upto_k < 0:
         raise ValueError("upto_k must be >= 0")
-    rows: list[Convergent] = []
-    for row in iter_convergents(period):
-        rows.append(row)
-        if row.k == upto_k:
-            return rows
-    raise AssertionError("unreachable")
+    return list(islice(iter_convergents(period), upto_k + 1))

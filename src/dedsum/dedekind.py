@@ -75,11 +75,3 @@ def normalized_sum_fast(a: int, b: int) -> Fraction:
         raise ValueError("invalid modulus")
     return Fraction(*_backend.eval_parts(a % b, b))  # the kernel checks coprimality
 
-
-def normalized_sum(a: int, b: int, method: str = "fast") -> Fraction:
-    """S(a, b) by the chosen evaluator; both agree on every input."""
-    if method == "fast":
-        return normalized_sum_fast(a, b)
-    if method == "naive":
-        return 12 * dedekind_sum_naive(a, b)
-    raise ValueError(f"unknown method: {method!r}")

@@ -27,10 +27,10 @@ expansion is member t's with 2L period terms in front, so one Euclidean
 descent of the deepest member passes through every shallower member's
 pair, and a backward sweep over its quotients gives each member's sum.
 The descent certifies coprimality a second time: it trusts the pairs it
-met only when it ends at remainder 1.  Members not met on that path,
-and zero-family members, are evaluated one by one by the kernel, which
-rejects a non-coprime pair itself; verify_member stays as the
-per-member oracle.
+met only when it ends at remainder 1.  Members not met on that path
+(on the zero family, every member but the deepest) are evaluated one
+by one by the kernel, which rejects a non-coprime pair itself;
+verify_member stays as the per-member oracle.
 """
 
 from __future__ import annotations
@@ -179,14 +179,12 @@ def verify_members(plan: FamilyPlan, rows: Sequence[FamilyMember]) -> None:
     """Fail closed: raise VerificationError naming the lowest failing t.
 
     ``rows`` are in t order.  Each member's sum is recomputed from its
-    pair and compared with S(plan.source), recomputed too.  For a
-    periodic plan the members met on the descent of the deepest one
-    share that descent; every other member gets its own.
+    pair and compared with S(plan.source), recomputed too.  The members
+    met on the descent of the deepest one share that descent; every
+    other member gets its own.
     """
     want = normalized_sum_fast(plan.source.a, plan.source.b)
-    pairs = [(m.pair.a, m.pair.b) for m in rows]
-    shared = _shared_descent(pairs, want) if plan.period is not None else {}
-    i = _first_mismatch(pairs, want, shared)
+    i = _first_mismatch([(m.pair.a, m.pair.b) for m in rows], want)
     if i is not None:
         m = rows[i]
         raise VerificationError(
@@ -194,9 +192,9 @@ def verify_members(plan: FamilyPlan, rows: Sequence[FamilyMember]) -> None:
         )
 
 
-def _first_mismatch(pairs: Sequence[tuple[int, int]], want: Fraction,
-                    shared: dict[int, bool]) -> int | None:
-    """First index whose S is not ``want`` (from ``shared``, else the kernel), or None."""
+def _first_mismatch(pairs: Sequence[tuple[int, int]], want: Fraction) -> int | None:
+    """First index whose S is not ``want`` (by the shared descent, else the kernel), or None."""
+    shared = _shared_descent(pairs, want)
     for i, (a, b) in enumerate(pairs):
         ok = shared.get(i)
         if ok is None:
@@ -268,5 +266,4 @@ def verify_period_constancy(period: Sequence[int], depth: int = 3) -> bool:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     pairs = [(row.p, row.q) for row in islice(progression(period, walk=True), depth)]
-    want = normalized_sum_fast(*pairs[0])
-    return _first_mismatch(pairs, want, _shared_descent(pairs, want)) is None
+    return _first_mismatch(pairs, normalized_sum_fast(*pairs[0])) is None

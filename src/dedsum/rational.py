@@ -30,7 +30,9 @@ def parse_exact(text: str) -> Fraction:
     """Parse ``num/den`` or a bare integer; anything else is rejected."""
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational: {text!r}")
-    return Fraction(text)  # a zero denominator raises ZeroDivisionError
+    if "/" in text and not int(text.partition("/")[2]):
+        raise ZeroDivisionError(f"zero denominator in {text!r}")
+    return Fraction(text)
 
 
 def decimal_approx(q: Fraction, digits: int = 12) -> str:

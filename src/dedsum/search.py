@@ -11,6 +11,7 @@ pipe, an error or Ctrl-C), so no slice runs after its reader is gone.
 
 from __future__ import annotations
 
+import os
 import signal
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -25,8 +26,6 @@ from .dedekind import CoprimePair
 
 @dataclass(frozen=True)
 class SearchResult:
-    target: Fraction
-    bound: int  # exclusive upper bound on b
     hits: tuple[CoprimePair, ...]
     pairs_scanned: int  # coprime pairs evaluated, after pruning
 
@@ -64,6 +63,7 @@ def search_stream(
         raise ValueError("bound must be at least 2")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    jobs = min(jobs, os.cpu_count() or 1)  # more processes than CPUs only queue
     u, v = target.numerator, target.denominator
     tasks = [(u, v, lo, hi, prune) for lo, hi in _chunks(bound, jobs)]
     hits: list[CoprimePair] = []
@@ -81,7 +81,7 @@ def search_stream(
                 hits.append(pair)
                 if emit is not None:
                     emit(pair)
-    return SearchResult(target, bound, tuple(hits), scanned)
+    return SearchResult(tuple(hits), scanned)
 
 
 def search_value(

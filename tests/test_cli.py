@@ -236,6 +236,12 @@ def test_search_malformed_target_exits_2(capsys):
     assert "not a rational" in err
 
 
+def test_search_zero_denominator_exits_2(capsys):
+    code, out, err = run(capsys, "search", "1/0", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: zero denominator in '1/0'\n"
+
+
 def test_search_output_identical_across_worker_counts(capsys):
     outputs = []
     for jobs in ("1", "8"):
@@ -335,9 +341,16 @@ def test_family_verify_failure_exit_code_is_wired(capsys, monkeypatch):
      "f82228900702fec9af2f86463a902ffd9f6654fd55c8d41b2a8f129f7240b232"),
     ("family 3 11 --c 4 --count 300",
      "66123981e74bfd67cd546ec0a024a3fc78fc9608522e106599ac31894f0ea3fd"),
+    ("cf 5 14 --format json",
+     "27bbf35f7d92e057f0af3587c6a92c53a182084edba987568cebabbf3d883c67"),
+    ("verify 2 1 3 1 1 --depth 12 --format json",
+     "b03b12fc04ded000cc35ffec331173d94ba9699417ca595967efc50848c1591f"),
+    ("search 18/7 1000 --format json",
+     "20c6257698f907270dc49e408851ceaa8f69fccd42abeba61e0d22fee49b904f"),
 ])
 def test_family_output_is_pinned(capsys, argv, digest):
-    # the bytes the convergent walk with a gcd per member printed
+    # bytes printed by earlier implementations (the family rows by the
+    # convergent walk with a gcd per member); refactors must not change them
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -48,7 +48,7 @@ def test_alternate_form_errors():
 def test_evaluate_known():
     assert evaluate(expand(5, 14)) == Fraction(5, 14)
     assert evaluate(CfExpansion(())) == 0
-    assert evaluate(CfExpansion((2, 1, 3, 1), canonical=False)) == Fraction(5, 14)
+    assert evaluate(CfExpansion((2, 1, 3, 1))) == Fraction(5, 14)
 
 
 def test_str_rendering():

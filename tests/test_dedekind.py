@@ -8,7 +8,6 @@ from dedsum import _kernel_py
 from dedsum.dedekind import (
     CoprimePair,
     dedekind_sum_naive,
-    normalized_sum,
     normalized_sum_fast,
     reduce_pair,
 )
@@ -28,15 +27,10 @@ def test_naive_known_values():
 
 
 def test_normalized_sum_both_methods():
-    assert normalized_sum(5, 14, "naive") == Fraction(18, 7)
-    assert normalized_sum(5, 14, "fast") == Fraction(18, 7)
-    assert normalized_sum(2, 5) == 0
-    assert normalized_sum(1, 3) == Fraction(2, 3)
-
-
-def test_normalized_sum_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        normalized_sum(1, 3, "guess")
+    assert 12 * dedekind_sum_naive(5, 14) == Fraction(18, 7)
+    assert normalized_sum_fast(5, 14) == Fraction(18, 7)
+    assert 12 * dedekind_sum_naive(2, 5) == normalized_sum_fast(2, 5) == 0
+    assert 12 * dedekind_sum_naive(1, 3) == normalized_sum_fast(1, 3) == Fraction(2, 3)
 
 
 def test_fast_known_values():

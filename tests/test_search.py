@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -147,24 +148,48 @@ def test_slices_balance_estimated_cost():
         assert max(costs) <= 1.25 * min(costs), (bound, jobs)
 
 
-def test_pool_is_never_larger_than_its_work(monkeypatch):
-    asked = []
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """install(cpus) swaps search.Pool for an in-process fake on a machine
+    with ``cpus`` CPUs; it returns the pool sizes asked for and the tasks run."""
+    def install(cpus):
+        asked, tasks = [], []
 
-    class InProcessPool:
-        def __init__(self, processes, initializer, initargs):
-            asked.append(processes)
+        class InProcessPool:
+            def __init__(self, processes, initializer, initargs):
+                asked.append(processes)
 
-        def __enter__(self):
-            return self
+            def __enter__(self):
+                return self
 
-        def __exit__(self, *exc):
-            return False
+            def __exit__(self, *exc):
+                return False
 
-        def imap(self, fn, tasks):
-            return map(fn, tasks)
+            def imap(self, fn, work):
+                tasks.extend(work)
+                return map(fn, work)
 
-    monkeypatch.setattr(search, "Pool", InProcessPool)
+        monkeypatch.setattr(search, "Pool", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return asked, tasks
+
+    return install
+
+
+def test_pool_is_never_larger_than_its_work(in_process_pool):
+    asked, _ = in_process_pool(cpus=64)
     many = search_value(Fraction(0), 6, jobs=64)
     assert asked and all(n <= 4 for n in asked)
     lone = search_value(Fraction(0), 6, jobs=1)
+    assert (many.hits, many.pairs_scanned) == (lone.hits, lone.pairs_scanned)
+
+
+def test_jobs_are_capped_at_the_cpu_count(in_process_pool):
+    # without the cap, jobs=10**5 cuts 750 nonempty slices and asks for 750 processes
+    asked, tasks = in_process_pool(cpus=2)
+    many = search_value(Fraction(18, 7), 1000, jobs=10**5)
+    assert asked and all(n <= 2 for n in asked)
+    assert len(tasks) <= 8
+    lone = search_value(Fraction(18, 7), 1000, jobs=1)
+    assert [(p.a, p.b) for p in many.hits] == HITS_18_7_BELOW_1000
     assert (many.hits, many.pairs_scanned) == (lone.hits, lone.pairs_scanned)
