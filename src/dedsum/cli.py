@@ -220,7 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                   'after "--", e.g. search --format tsv -- -18/7 100')
     p.add_argument("bound", type=int, help="exclusive upper bound on b")
     p.add_argument("--no-prune", action="store_true",
-                   help="disable the even-integer denominator filter")
+                   help="evaluate every coprime pair: no denominator filter, "
+                        "no congruence screen")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at most the CPU count (default 1)")
     add_format(p, choices=("human", "json", "tsv"))

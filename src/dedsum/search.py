@@ -1,12 +1,17 @@
 """Exhaustive search for coprime pairs attaining a target normalized sum.
 
-Enumerates every reduced pair 0 < a < b < bound, evaluates S(a, b) with
-the fast kernel and keeps exact matches.  The sweep is embarrassingly
-parallel over disjoint b ranges, cut where their estimated cost is equal.
-Slices are merged in submission order, so hits come out sorted by (b, a)
-and the output is byte-identical whatever the worker count or chunking.
-The worker pool is terminated however the sweep stops (done, a closed
-pipe, an error or Ctrl-C), so no slice runs after its reader is gone.
+Finds every reduced pair 0 < a < b < bound whose S(a, b) equals the
+target exactly.  By default only denominators with b*target an even
+integer are visited, and of those only the roots a of
+a^2 - N*a + 1 = 0 (mod b), N = b*target mod b, are evaluated, because
+12*b*s(a, b) = a + a^-1 (mod b) makes every hit such a root.  With
+prune=False every coprime pair is evaluated, as the exhaustive oracle.
+The sweep is embarrassingly parallel over disjoint b ranges, cut where
+their estimated cost is equal.  Slices are merged in submission order,
+so hits come out sorted by (b, a) and the output is byte-identical
+whatever the worker count or chunking.  The worker pool is terminated
+however the sweep stops (done, a closed pipe, an error or Ctrl-C), so
+no slice runs after its reader is gone.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .dedekind import CoprimePair
 @dataclass(frozen=True)
 class SearchResult:
     hits: tuple[CoprimePair, ...]
-    pairs_scanned: int  # coprime pairs evaluated, after pruning
+    pairs_scanned: int  # coprime pairs examined, after pruning
 
 
 def _scan_chunk(args: tuple[int, int, int, int, bool]):

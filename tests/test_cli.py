@@ -282,7 +282,7 @@ def test_module_entry_point():
 def test_search_into_closed_pipe_exits_quietly(jobs):
     # like `| head -1`: the reader leaves after one line while hits remain
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dedsum", "search", "18/7", "8000",
+        [sys.executable, "-m", "dedsum", "search", "18/7", "20000",
          "--format", "tsv", "--jobs", jobs],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=child_env(PYTHONUNBUFFERED="1"),
@@ -299,7 +299,7 @@ def test_search_into_closed_pipe_exits_quietly(jobs):
 def test_search_ctrl_c_exits_130(jobs):
     # Ctrl-C signals the whole process group: main process and workers alike
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dedsum", "search", "18/7", "8000",
+        [sys.executable, "-m", "dedsum", "search", "18/7", "20000",
          "--format", "tsv", "--jobs", jobs],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=child_env(PYTHONUNBUFFERED="1"), start_new_session=True,

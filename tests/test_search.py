@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dedsum import search
+from dedsum import _kernel_py, search
 from dedsum.dedekind import CoprimePair, dedekind_sum_naive
 from dedsum.search import search_stream, search_value
 
@@ -93,12 +93,59 @@ def test_matches_brute_force_oracle_for_observed_targets():
 
 
 def test_prune_is_behavior_preserving():
-    targets = [Fraction(18, 7), Fraction(0), Fraction(3, 2), Fraction(-2, 3), Fraction(7, 5)]
-    for target in targets:
-        pruned = search_value(target, 300, prune=True)
-        full = search_value(target, 300, prune=False)
+    # the denominator filter and the congruence screen against the exhaustive
+    # scan; targets include 0, negatives, integers and denominators divisible
+    # by 2, 3 and 4, and values the defining sum says are attained below 400
+    fixed = [Fraction(0), Fraction(1), Fraction(-2), Fraction(18, 7), Fraction(-18, 7),
+             Fraction(3, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-2, 3),
+             Fraction(-4, 3), Fraction(5, 4), Fraction(-7, 4), Fraction(7, 6),
+             Fraction(11, 12), Fraction(8, 21), Fraction(7, 5)]
+    rng = random.Random(10)
+    attained = set()
+    while len(attained) < 20:
+        b = rng.randrange(3, 400)
+        a = rng.randrange(1, b)
+        if math.gcd(a, b) == 1:
+            attained.add(12 * dedekind_sum_naive(a, b))
+    for target in fixed + sorted(attained - set(fixed)):
+        pruned = search_value(target, 400, prune=True)
+        full = search_value(target, 400, prune=False)
         assert pruned.hits == full.hits, target
-        assert pruned.pairs_scanned <= full.pairs_scanned
+        assert pruned.pairs_scanned <= full.pairs_scanned, target
+
+
+def test_every_pair_is_a_root_of_its_congruence():
+    # the fact the screen rests on: N = 12*b*s(a, b) is an even integer and
+    # N = a + a^-1 (mod b), i.e. a^2 - N*a + 1 = 0 (mod b); checked on the
+    # defining sum, not the kernel
+    for b in range(2, 151):
+        for a in range(1, b):
+            if math.gcd(a, b) != 1:
+                continue
+            n = 12 * b * dedekind_sum_naive(a, b)
+            assert n.denominator == 1 and n.numerator % 2 == 0, (a, b)
+            assert (a * a - n.numerator * a + 1) % b == 0, (a, b)
+
+
+def test_screen_evaluates_only_the_roots(monkeypatch):
+    calls = []
+    evaluate = _kernel_py.normalized_sum_parts
+
+    def counting(a, b):
+        calls.append((a, b))
+        return evaluate(a, b)
+
+    monkeypatch.setattr(_kernel_py, "normalized_sum_parts", counting)
+    result = search_value(Fraction(18, 7), 1000)
+    assert [(p.a, p.b) for p in result.hits] == HITS_18_7_BELOW_1000
+    # brute-force roots of a^2 - N*a + 1 = 0 (mod b) over the b the filter keeps
+    roots = 0
+    for b in range(2, 1000):
+        if b * 18 % 14:
+            continue
+        n = b * 18 // 7 % b
+        roots += sum(1 for a in range(1, b) if (a * a - n * a + 1) % b == 0)
+    assert len(calls) == roots
 
 
 def test_parallel_runs_are_identical():
